@@ -3,83 +3,44 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.eval.Tables
 
-/** spark-submit entrypoints, one per evaluation table. Optional first arg:
-  * series count per condition (default 100).
+/** spark-submit entrypoint for the evaluation tables. Optional second arg:
+  * series count per condition (default 100; 40 for table 6, 50 for 7and8).
   *
-  *   spark-submit --class repro.jobs.Table1Job repro.jar [count]
+  *   spark-submit --class repro.jobs.TableJob repro.jar <1|2|3|4|5|6|7and8> [count]
   */
-object JobUtil {
-  def session(name: String): SparkSession =
-    SparkSession.builder.appName(name)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+object TableJob {
+  private val MetricCols = "(cond | algo | tol | precision | recall | f1 | top1 | n)"
 
-  def count(args: Array[String], default: Int = 100): Int =
-    args.headOption.map(_.toInt).getOrElse(default)
-}
+  /** Table name → printer, given the session and the count (with its default). */
+  private val tables: Map[String, (SparkSession, Int => Int) => Unit] = Map(
+    "1" -> ((spark, count) => println(Tables.render(Tables.table1(spark, count(100)),
+      s"Table 1: single-period precision $MetricCols"))),
+    "2" -> ((spark, count) => println(Tables.render(Tables.table2(spark, count(100)),
+      s"Table 2: multi-period F1 $MetricCols"))),
+    "3" -> ((spark, count) => println(Tables.render(Tables.table3(spark, count(100)),
+      s"Table 3: square/triangle F1 $MetricCols"))),
+    "4" -> ((spark, _) => {
+      println("\n=== Table 4: Alibaba-like datasets ===")
+      Tables.table4(spark).foreach { case (cond, algo, det) =>
+        println(f"$cond%-38s $algo%-16s -> ${det.mkString("(", ",", ")")}")
+      }
+    }),
+    "5" -> ((spark, count) => println(Tables.render(Tables.table5(spark, count(100)),
+      s"Table 5: ablations $MetricCols"))),
+    "6" -> ((spark, count) => println(Tables.render(Tables.table6(spark, count(40)),
+      "Table 6: forecasting (algo | horizon | rmse | mae | n)"))),
+    "7and8" -> ((spark, count) => {
+      val (rt, f1) = Tables.table7and8(spark, count(50))
+      println(Tables.render(rt, "Table 7: runtime (cond | algo | avg_ms | n)"))
+      println(Tables.render(f1, s"Table 8: F1 vs length $MetricCols"))
+    }),
+  )
 
-object Table1Job {
   def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("robustperiod-table1")
-    println(Tables.render(Tables.table1(spark, JobUtil.count(args)),
-      "Table 1: single-period precision (cond | algo | tol | precision | recall | f1 | top1 | n)"))
-    spark.stop()
-  }
-}
-
-object Table2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("robustperiod-table2")
-    println(Tables.render(Tables.table2(spark, JobUtil.count(args)),
-      "Table 2: multi-period F1 (cond | algo | tol | precision | recall | f1 | top1 | n)"))
-    spark.stop()
-  }
-}
-
-object Table3Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("robustperiod-table3")
-    println(Tables.render(Tables.table3(spark, JobUtil.count(args)),
-      "Table 3: square/triangle F1 (cond | algo | tol | precision | recall | f1 | top1 | n)"))
-    spark.stop()
-  }
-}
-
-object Table4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("robustperiod-table4")
-    println("\n=== Table 4: Alibaba-like datasets ===")
-    Tables.table4(spark).foreach { case (cond, algo, det) =>
-      println(f"$cond%-38s $algo%-16s -> ${det.mkString("(", ",", ")")}")
-    }
-    spark.stop()
-  }
-}
-
-object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("robustperiod-table5")
-    println(Tables.render(Tables.table5(spark, JobUtil.count(args)),
-      "Table 5: ablations (cond | algo | tol | precision | recall | f1 | top1 | n)"))
-    spark.stop()
-  }
-}
-
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("robustperiod-table6")
-    println(Tables.render(Tables.table6(spark, JobUtil.count(args, 40)),
-      "Table 6: forecasting (algo | horizon | rmse | mae | n)"))
-    spark.stop()
-  }
-}
-
-object Table7and8Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("robustperiod-table7-8")
-    val (rt, f1) = Tables.table7and8(spark, JobUtil.count(args, 50))
-    println(Tables.render(rt, "Table 7: runtime (cond | algo | avg_ms | n)"))
-    println(Tables.render(f1, "Table 8: F1 vs length (cond | algo | tol | precision | recall | f1 | top1 | n)"))
+    val run = args.headOption.flatMap(tables.get)
+      .getOrElse(sys.error("usage: TableJob <1|2|3|4|5|6|7and8> [count]"))
+    val spark = SparkSession.builder.appName(s"robustperiod-table${args(0)}").getOrCreate()
+    run(spark, default => args.lift(1).map(_.toInt).getOrElse(default))
     spark.stop()
   }
 }

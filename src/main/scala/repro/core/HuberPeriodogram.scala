@@ -1,7 +1,7 @@
 package repro.core
 
 /** Periodograms: the vanilla FFT periodogram (Eq. 5) and the robust
-  * Huber M-periodogram (Eq. 6–7) solved per frequency by ADMM.
+  * Huber M-periodogram (Eq. 6–7) fitted per frequency by IRLS.
   *
   * For level-j data the exact M-estimate is only computed on the octave
   * band [N'/2^{j+1}, N'/2^j] and spliced with the vanilla periodogram
@@ -25,13 +25,19 @@ object HuberPeriodogram {
     * series: P^M_k = (n/4)·‖β̂‖² with
     * β̂ = argmin Σ_t γ_ζ(φ_t β − x_t), φ_t = [cos(2πkt/n), sin(2πkt/n)].
     *
-    * ADMM with z = φβ − x: closed-form 2×2 normal-equation β-step, Huber
-    * prox z-step, scaled dual u. Warm-started at the least-squares
-    * (vanilla DFT) solution.
+    * Iteratively reweighted least squares (Holland & Welsch 1977): start
+    * from the least-squares fit, then repeat the weighted 2×2 least-squares
+    * solve with weights w_t = min(1, ζ/|r_t|) until ‖Δβ‖ < 1e-8 or
+    * `maxIter` solves have run. The paper uses ADMM for the same convex
+    * problem (DESIGN.md §5).
     */
-  def huberAtK(x: Array[Double], k: Int, zeta: Double, rho: Double = 1.0,
-               maxIter: Int = 50, tol: Double = 1e-8): Double = {
+  def huberAtK(x: Array[Double], k: Int, zeta: Double, maxIter: Int = 50): Double = {
     val n = x.length
+    if (k == 0 || 2 * k == n) { // sine regressor ≡ 0: plain DFT ordinate
+      var s = 0.0; var t = 0
+      while (t < n) { s += (if (k == 0 || t % 2 == 0) x(t) else -x(t)); t += 1 }
+      return s * s / n
+    }
     val cos = new Array[Double](n)
     val sin = new Array[Double](n)
     // Incremental rotation instead of n trig calls; renormalized per step
@@ -47,59 +53,31 @@ object HuberPeriodogram {
       cRe = nRe
       t += 1
     }
-    // Precompute φᵀφ (2×2, SPD away from k = 0 and Nyquist).
-    var scc = 0.0; var scs = 0.0; var sss = 0.0
-    t = 0
-    while (t < n) { scc += cos(t) * cos(t); scs += cos(t) * sin(t); sss += sin(t) * sin(t); t += 1 }
-    val det = scc * sss - scs * scs
-    if (det <= 1e-12) { // degenerate regressor (k = 0 or n/2): fall back
-      var s = 0.0; t = 0
-      while (t < n) { s += x(t) * (if (k == 0) 1.0 else cos(t)); t += 1 }
-      return s * s / n
-    }
-    // Least-squares warm start.
+    // Least-squares start: for 0 < k < n/2, φᵀφ = (n/2)·I exactly.
     var b1 = 0.0; var b2 = 0.0
-    var rx1 = 0.0; var rx2 = 0.0
     t = 0
-    while (t < n) { rx1 += cos(t) * x(t); rx2 += sin(t) * x(t); t += 1 }
-    b1 = (sss * rx1 - scs * rx2) / det
-    b2 = (scc * rx2 - scs * rx1) / det
-
-    val z = new Array[Double](n)
-    val u = new Array[Double](n)
-    t = 0
-    while (t < n) { z(t) = cos(t) * b1 + sin(t) * b2 - x(t); t += 1 }
+    while (t < n) { b1 += cos(t) * x(t); b2 += sin(t) * x(t); t += 1 }
+    b1 *= 2.0 / n; b2 *= 2.0 / n
 
     var it = 0
     var moved = Double.MaxValue
-    while (it < maxIter && moved > tol) {
-      // β-step: (φᵀφ) β = φᵀ (x + z − u)
-      var r1 = 0.0; var r2 = 0.0
+    while (it < maxIter && moved >= 1e-8) {
+      // Weighted normal equations (φᵀWφ) β = φᵀWx at the current residuals.
+      var scc = 0.0; var scs = 0.0; var sss = 0.0; var rx1 = 0.0; var rx2 = 0.0
       t = 0
       while (t < n) {
-        val target = x(t) + z(t) - u(t)
-        r1 += cos(t) * target; r2 += sin(t) * target
+        val r  = math.abs(cos(t) * b1 + sin(t) * b2 - x(t))
+        val w  = if (r <= zeta) 1.0 else zeta / r
+        val wc = w * cos(t); val ws = w * sin(t)
+        scc += wc * cos(t); scs += wc * sin(t); sss += ws * sin(t)
+        rx1 += wc * x(t); rx2 += ws * x(t)
         t += 1
       }
-      val nb1 = (sss * r1 - scs * r2) / det
-      val nb2 = (scc * r2 - scs * r1) / det
+      val det = scc * sss - scs * scs
+      val nb1 = (sss * rx1 - scs * rx2) / det
+      val nb2 = (scc * rx2 - scs * rx1) / det
       moved = math.hypot(nb1 - b1, nb2 - b2)
       b1 = nb1; b2 = nb2
-      // z-step (Huber prox) and dual update. Convergence is judged on BOTH
-      // β and z movement: β alone can stall for an iteration while the
-      // dual is still accumulating, which would stop ADMM far from the
-      // optimum.
-      t = 0
-      while (t < n) {
-        val res = cos(t) * b1 + sin(t) * b2 - x(t)
-        val v   = res + u(t)
-        val nz  = RobustStats.huberProx(v, zeta, rho)
-        val dz  = math.abs(nz - z(t))
-        if (dz > moved) moved = dz
-        z(t) = nz
-        u(t) = v - nz
-        t += 1
-      }
       it += 1
     }
     n / 4.0 * (b1 * b1 + b2 * b2)
@@ -107,7 +85,8 @@ object HuberPeriodogram {
 
   /** Half-range periodogram (indices 0..n/2) with the exact Huber
     * M-estimate on `exactBand` (inclusive index range) and the vanilla
-    * periodogram elsewhere.
+    * periodogram elsewhere. `maxIter` caps the iterations of each Huber
+    * fit.
     */
   def spliced(x: Array[Double], exactBand: (Int, Int), zeta: Double,
               maxIter: Int = 50): Array[Double] = {

@@ -1,7 +1,7 @@
 package repro.core
 
 /** Robust statistics substrate: median, MAD, biweight midvariance (Eq. 4),
-  * and the Huber loss / proximal operator used by the Huber-periodogram.
+  * and the Huber loss that defines the Huber-periodogram.
   */
 object RobustStats {
 
@@ -67,11 +67,6 @@ object RobustStats {
   /** Huber loss γ_ζ (Eq. 7). */
   def huberLoss(x: Double, zeta: Double): Double =
     if (math.abs(x) <= zeta) 0.5 * x * x else zeta * math.abs(x) - 0.5 * zeta * zeta
-
-  /** Proximal operator of γ_ζ/ρ: argmin_z γ_ζ(z) + (ρ/2)(z − v)². */
-  def huberProx(v: Double, zeta: Double, rho: Double): Double =
-    if (math.abs(v) <= zeta * (1.0 + rho) / rho) rho * v / (1.0 + rho)
-    else v - (zeta / rho) * math.signum(v)
 
   /** Standardize by median/MAD (σ-consistent); if MAD is zero, fall back to
     * mean/σ; a constant series maps to zeros.

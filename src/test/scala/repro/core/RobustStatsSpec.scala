@@ -72,18 +72,6 @@ class RobustStatsSpec extends AnyFunSuite {
     assert(math.abs(RobustStats.huberLoss(z - 1e-9, z) - RobustStats.huberLoss(z + 1e-9, z)) < 1e-6)
   }
 
-  // Property: prox solves the scalar minimization (checked numerically).
-  test("Huber prox minimizes γ_ζ(z) + (ρ/2)(z−v)²") {
-    val vs = Seq(-5.0, -2.0, -1.0, -0.3, 0.0, 0.4, 1.2, 2.5, 6.0)
-    for (v <- vs; zeta <- Seq(0.5, 1.345, 3.0); rho <- Seq(0.5, 1.0, 2.0)) {
-      val zStar = RobustStats.huberProx(v, zeta, rho)
-      def obj(z: Double) = RobustStats.huberLoss(z, zeta) + rho / 2 * (z - v) * (z - v)
-      val best = (-800 to 800).map(_ * 0.01).minBy(obj)
-      assert(math.abs(obj(zStar) - obj(best)) < 1e-4,
-        s"prox($v, ζ=$zeta, ρ=$rho)=$zStar vs grid $best")
-    }
-  }
-
   test("robustStandardize: zero median and ~unit scale") {
     val rnd = new Random(8)
     val x = Array.fill(4000)(rnd.nextGaussian() * 5 + 13)
