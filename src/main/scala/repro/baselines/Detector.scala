@@ -16,14 +16,17 @@ trait Detector extends Serializable {
 }
 
 /** Mixin applying HP detrending (and mean removal) before detection;
-  * λ ≤ 0 selects the length-adaptive value.
+  * λ ≤ 0 selects the length-adaptive value. A constant series has no
+  * period: its HP residual is rounding noise, so it is answered directly.
   */
 abstract class Detrended(val name: String, lambda: Double = -1) extends Detector {
-  final def detect(x: Array[Double]): Seq[Int] = {
-    val d = HPFilter.detrend(x, lambda)
-    val m = d.sum / d.length
-    detectDetrended(d.map(_ - m))
-  }
+  final def detect(x: Array[Double]): Seq[Int] =
+    if (x.forall(_ == x(0))) Seq.empty
+    else {
+      val d = HPFilter.detrend(x, lambda)
+      val m = d.sum / d.length
+      detectDetrended(d.map(_ - m))
+    }
   protected def detectDetrended(x: Array[Double]): Seq[Int]
 }
 

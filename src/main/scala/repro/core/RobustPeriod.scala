@@ -9,28 +9,29 @@ import repro.wavelet.MODWT
   */
 object RobustPeriod {
 
-  /** Tunables; defaults follow the paper / DESIGN.md §5. */
+  /** Detector settings. Only the two ablation toggles are settable
+    * (NR-RobustPeriod sets both to false): Huber M-periodogram vs vanilla
+    * FFT periodogram, and biweight midvariance vs plain sample variance for
+    * level ranking. The other values are fixed by the paper / DESIGN.md §5.
+    */
   final case class Config(
-      waveletOrder: Int = 10,
-      maxLevels: Int = 10,
-      hpLambda: Double = -1, // ≤0 = length-adaptive (HPFilter.autoLambda)
-      clipC: Double = 3.0,
-      huberZeta: Double = 1.345,
-      fisherAlpha: Double = 1e-3,
-      acfMinHeight: Double = 0.15,
-      /** Iteration cap of each per-frequency Huber-periodogram fit. */
-      admmIter: Int = 50,
-      /** Skip levels whose robust variance is below this fraction of the
-        * total wavelet variance (speed knob; 0 processes every level).
-        */
-      minVarianceFraction: Double = 0.01,
-      /** Ablation toggles (NR-RobustPeriod sets both to false): Huber
-        * M-periodogram vs vanilla FFT periodogram, and biweight midvariance
-        * vs plain sample variance for level ranking.
-        */
       useHuberPeriodogram: Boolean = true,
       useRobustVariance: Boolean = true,
-  )
+  ) {
+    val waveletOrder: Int = 10
+    val maxLevels: Int = 10
+    val hpLambda: Double = -1 // ≤0 = length-adaptive (HPFilter.autoLambda)
+    val clipC: Double = 3.0
+    val huberZeta: Double = 1.345
+    val fisherAlpha: Double = 1e-3
+    val acfMinHeight: Double = 0.15
+    /** Iteration cap of each per-frequency Huber-periodogram fit. */
+    val admmIter: Int = 50
+    /** Skip levels whose robust variance is below this fraction of the
+      * total wavelet variance (saves time on negligible-energy levels).
+      */
+    val minVarianceFraction: Double = 0.01
+  }
 
   /** Per-level diagnostics (mirrors the columns of the paper's Fig. 5). */
   final case class LevelResult(

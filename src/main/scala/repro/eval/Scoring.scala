@@ -6,9 +6,8 @@ package repro.eval
   */
 object Scoring {
 
-  final case class Counts(tp: Int, fp: Int, fn: Int, exactCorrect: Int) {
-    def +(o: Counts): Counts =
-      Counts(tp + o.tp, fp + o.fp, fn + o.fn, exactCorrect + o.exactCorrect)
+  final case class Counts(tp: Int, fp: Int, fn: Int) {
+    def +(o: Counts): Counts = Counts(tp + o.tp, fp + o.fp, fn + o.fn)
   }
 
   final case class PRF(precision: Double, recall: Double, f1: Double)
@@ -26,7 +25,7 @@ object Scoring {
       val i = remaining.indexWhere(d => matches(d, t, tol))
       if (i >= 0) { tp += 1; remaining.remove(i) }
     }
-    Counts(tp, remaining.length, truth.length - tp, exactCorrect = 0)
+    Counts(tp, remaining.length, truth.length - tp)
   }
 
   /** Single-period accuracy (Table 1's "precision"): the top-ranked
@@ -44,5 +43,5 @@ object Scoring {
 
   /** Micro-averaged PRF over per-series counts. */
   def aggregate(counts: Seq[Counts]): PRF =
-    prf(counts.foldLeft(Counts(0, 0, 0, 0))(_ + _))
+    prf(counts.foldLeft(Counts(0, 0, 0))(_ + _))
 }

@@ -28,7 +28,8 @@ object StreamingDetect {
         case ((id, cond), it, state: GroupState[SeriesState]) =>
           val prev = if (state.exists) state.get.values else Map.empty[Long, Double]
           val pts  = it.toSeq
-          val acc  = prev ++ pts.map(p => p.t -> p.value)
+          // Only t ∈ [0, n) fills a slot; other points must not count toward n.
+          val acc  = prev ++ pts.collect { case p if p.t >= 0 && p.t < p.n => p.t -> p.value }
           val n    = pts.headOption.map(_.n).getOrElse(-1)
           if (n > 0 && acc.size >= n) {
             state.remove()

@@ -1,20 +1,16 @@
 package repro.wavelet
 
-import repro.numerics.PolyRoots
-import repro.numerics.PolyRoots.C
-
-/** Daubechies orthonormal wavelet filters.
+/** Daubechies orthonormal (extremal-phase) wavelet filters, pinned to
+  * coefficient tables for the supported orders 1–4 and 10.
   *
-  * Orders 1–4 are pinned to published coefficient tables; any order is also
-  * derivable by spectral factorization of the Daubechies half-band
-  * polynomial (roots via Durand–Kerner) — the test suite cross-checks the
-  * generated filters against the tables for p ≤ 4 and against filter
-  * identities (Σg = √2, ‖g‖ = 1, even-shift orthogonality, vanishing
-  * moments) for higher orders.
+  * RobustPeriod uses db10 (DESIGN.md §5); orders 1–4 serve the DWT baseline
+  * and tests. The db10 taps are the spectral factorisation of the
+  * Daubechies half-band polynomial (Percival & Walden 2000 tabulate the
+  * same filter); DESIGN.md §5 records how they were checked.
   *
   * Convention: `scaling(p)` is the low-pass filter g of length 2p with
-  * Σg = √2; `wavelet(p)` is the high-pass quadrature mirror
-  * h_l = (−1)^l g_{L−1−l}.
+  * Σg = √2 and its energy up front; `wavelet(p)` is the high-pass
+  * quadrature mirror h_l = (−1)^l g_{L−1−l}.
   */
 object Daubechies {
 
@@ -27,82 +23,24 @@ object Daubechies {
     4 -> Array(0.23037781330885523, 0.7148465705525415, 0.6308807679295904,
                -0.02798376941698385, -0.18703481171888114, 0.030841381835986965,
                0.032883011666982945, -0.010597401784997278),
+    10 -> Array(0.02667005790059567, 0.188176800077932, 0.5272011889322142,
+                0.6884590394537728, 0.28117234365984456, -0.2498464243281706,
+                -0.19594627437719203, 0.12736934033644695, 0.09305736460356487,
+                -0.07139414716669498, -0.029457536821826804, 0.03321267405946141,
+                0.003606553566915959, -0.010733175483361944, 0.0013953517470714572,
+                0.001992405295189007, -6.858566949642965e-4, -1.1646685512901926e-4,
+                9.358867032055668e-5, -1.3264202894628999e-5),
   )
 
   /** Scaling (low-pass) filter for Daubechies order p (2p taps). */
   def scaling(p: Int): Array[Double] =
-    tables.getOrElse(p, generate(p))
+    tables.getOrElse(p, throw new IllegalArgumentException(
+      s"unsupported Daubechies order $p; supported: ${tables.keys.toSeq.sorted.mkString("{", ", ", "}")}"))
 
   /** Wavelet (high-pass) filter: h_l = (−1)^l g_{L−1−l}. */
   def wavelet(p: Int): Array[Double] = {
     val g = scaling(p)
     val L = g.length
     Array.tabulate(L)(l => (if (l % 2 == 0) 1.0 else -1.0) * g(L - 1 - l))
-  }
-
-  /** Spectral-factorization construction (Daubechies 1992 / Strang–Nguyen).
-    *
-    * P(y) = Σ_{k<p} C(p−1+k, k) y^k;  substitute y = (2 − z − z⁻¹)/4 and
-    * clear denominators to get Q(z) = z^{p−1} P(·), degree 2p−2. Roots of Q
-    * come in (r, 1/r) pairs; keep |r| < 1, then
-    * g(z) ∝ (1+z)^p Π (z − r_i), normalized to Σg = √2 and minimum-phase
-    * sign convention (g_0 > 0).
-    */
-  def generate(p: Int): Array[Double] = {
-    require(p >= 1 && p <= 20, s"unsupported Daubechies order $p")
-    if (p == 1) return tables(1)
-    // P(y) coefficients: binomial C(p-1+k, k).
-    val pc = Array.tabulate(p)(k => binom(p - 1 + k, k))
-    // Q(z) = z^{p-1} P((2 - z - 1/z)/4): build by polynomial arithmetic.
-    // Let u(z) = (2 - z - 1/z)/4. Then z^{p-1} P(u) =
-    //   Σ_k pc(k) * z^{p-1-k} * ((2z - z² - 1)/4)^k  since u = (2z - z² - 1)/(4z).
-    val base = Array(-0.25, 0.5, -0.25) // (-1 + 2z - z²)/4 as coeffs of z^0..z^2
-    var q = new Array[Double](2 * p - 1) // degree 2p-2
-    var pow: Array[Double] = Array(1.0)  // base^k
-    var k = 0
-    while (k < p) {
-      // term = pc(k) * z^{p-1-k} * pow  (pow has degree 2k)
-      var i = 0
-      while (i < pow.length) {
-        q(p - 1 - k + i) += pc(k) * pow(i)
-        i += 1
-      }
-      pow = polyMul(pow, base)
-      k += 1
-    }
-    val rs     = PolyRoots.roots(q)
-    val inside = rs.filter(_.abs < 1.0)
-    require(inside.length == p - 1, s"expected ${p - 1} roots inside unit circle, got ${inside.length}")
-    // g(z) ∝ (1+z)^p * Π (z − r_i); multiply out in complex then take real.
-    var poly: Array[C] = Array(C.one)
-    var i = 0
-    while (i < p) { poly = polyMulC(poly, Array(C.one, C.one)); i += 1 } // (1 + z)
-    inside.foreach { r => poly = polyMulC(poly, Array(C(-r.re, -r.im), C.one)) } // (z − r)
-    val raw = poly.map(_.re)
-    val s   = raw.sum
-    // Normalize so Σg = +√2 (dividing by s fixes the overall sign too).
-    val g = raw.map(_ * math.sqrt(2.0) / s)
-    // Root selection can yield the time-reversed (maximal-phase) filter;
-    // published tables use the extremal-phase one with the energy up front.
-    if (math.abs(g(0)) >= math.abs(g(g.length - 1))) g else g.reverse
-  }
-
-  private def binom(n: Int, k: Int): Double = {
-    var r = 1.0
-    var i = 0
-    while (i < k) { r = r * (n - i) / (i + 1); i += 1 }
-    r
-  }
-
-  private def polyMul(a: Array[Double], b: Array[Double]): Array[Double] = {
-    val out = new Array[Double](a.length + b.length - 1)
-    for (i <- a.indices; j <- b.indices) out(i + j) += a(i) * b(j)
-    out
-  }
-
-  private def polyMulC(a: Array[C], b: Array[C]): Array[C] = {
-    val out = Array.fill(a.length + b.length - 1)(C.zero)
-    for (i <- a.indices; j <- b.indices) out(i + j) = out(i + j) + a(i) * b(j)
-    out
   }
 }

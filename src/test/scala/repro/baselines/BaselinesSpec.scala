@@ -4,6 +4,19 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.synth.TimeSeriesGen._
 import scala.util.Random
 
+class BaselinesSpec extends AnyFunSuite {
+
+  private val detrended: Seq[Detrended] =
+    Seq(FindFrequency, SazedMaj, SazedOpt, SiegelDetector, AutoPeriod, WaveletFisher)
+
+  for (d <- detrended) {
+    test(s"${d.name} reports no period on a constant series") {
+      for (n <- Seq(100, 600, 1000); c <- Seq(0.0, 1.0, -3.7, 1e6))
+        assert(d.detect(Array.fill(n)(c)).isEmpty, s"n=$n c=$c")
+    }
+  }
+}
+
 class FindFrequencySpec extends AnyFunSuite {
 
   test("detects a clean sine period") {

@@ -19,12 +19,12 @@ class ScoringSpec extends AnyFunSuite {
 
   test("perfect detection: tp=all, fp=fn=0") {
     val c = score(Seq(20, 50, 100), Seq(20, 50, 100), 0.0)
-    assert(c == Counts(3, 0, 0, 0))
+    assert(c == Counts(3, 0, 0))
   }
 
   test("partial detection counts fn; spurious counts fp") {
     val c = score(Seq(20, 37), Seq(20, 50, 100), 0.0)
-    assert(c == Counts(1, 1, 2, 0))
+    assert(c == Counts(1, 1, 2))
   }
 
   test("1-1 matching: one detection cannot satisfy two truths") {
@@ -38,23 +38,23 @@ class ScoringSpec extends AnyFunSuite {
   }
 
   test("empty detection on periodic truth: all fn") {
-    assert(score(Seq.empty, Seq(20, 50), 0.0) == Counts(0, 0, 2, 0))
+    assert(score(Seq.empty, Seq(20, 50), 0.0) == Counts(0, 0, 2))
   }
 
   test("prf math") {
-    val m = prf(Counts(6, 2, 3, 0))
+    val m = prf(Counts(6, 2, 3))
     assert(math.abs(m.precision - 0.75) < 1e-12)
     assert(math.abs(m.recall - 6.0 / 9) < 1e-12)
     assert(math.abs(m.f1 - 2 * 0.75 * (6.0 / 9) / (0.75 + 6.0 / 9)) < 1e-12)
   }
 
   test("prf of zero counts is zero, not NaN") {
-    val m = prf(Counts(0, 0, 0, 0))
+    val m = prf(Counts(0, 0, 0))
     assert(m.precision == 0.0 && m.recall == 0.0 && m.f1 == 0.0)
   }
 
   test("aggregate micro-averages counts") {
-    val m = aggregate(Seq(Counts(1, 0, 1, 0), Counts(2, 1, 0, 0)))
+    val m = aggregate(Seq(Counts(1, 0, 1), Counts(2, 1, 0)))
     assert(math.abs(m.precision - 3.0 / 4) < 1e-12)
     assert(math.abs(m.recall - 3.0 / 4) < 1e-12)
   }

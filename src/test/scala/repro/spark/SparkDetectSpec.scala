@@ -71,7 +71,7 @@ class SparkDetectSpec extends SparkSpec {
     val conds = series.map(_.cond).distinct
     for (cond <- conds; d <- detectors) {
       val cs = scores.filter(r => r.cond == cond && r.algo == d.name)
-        .map(r => Scoring.Counts(r.tp, r.fp, r.fn, 0))
+        .map(r => Scoring.Counts(r.tp, r.fp, r.fn))
       val expected = Scoring.aggregate(cs.toIndexedSeq).f1
       assert(math.abs(sql((cond, d.name)) - expected) < 1e-9, s"$cond/${d.name}")
     }

@@ -41,21 +41,34 @@ class StreamingDetectSpec extends SparkSpec {
     } finally query.stop()
   }
 
-  test("incomplete series emit nothing (state held, no spurious output)") {
+  /** Feeds `points` in one micro-batch; returns the number of detections. */
+  private def emitted(queryName: String, points: Seq[StreamingDetect.Point]): Long = {
     import spark.implicits._
     implicit val sql = spark.sqlContext
-    val series = Datasets.singlePeriodSin(1, 0.1, 0.01, seed = 56, n = 400).head
     val stream = MemoryStream[StreamingDetect.Point]
-    val out = StreamingDetect.detections(stream.toDS(), Tables.robust)
-    val query = out.writeStream.format("memory").queryName("stream_partial")
-      .outputMode("append").start()
+    val query = StreamingDetect.detections(stream.toDS(), Tables.robust).writeStream
+      .format("memory").queryName(queryName).outputMode("append").start()
     try {
-      val half = series.values.take(200).zipWithIndex.map { case (v, t) =>
-        StreamingDetect.Point(series.id, series.cond, t.toLong, v, 400)
-      }
-      stream.addData(half.toSeq)
+      stream.addData(points)
       query.processAllAvailable()
-      assert(spark.sql("SELECT * FROM stream_partial").count() == 0)
+      spark.sql(s"SELECT * FROM $queryName").count()
     } finally query.stop()
+  }
+
+  private def points(s: Datasets.Series, count: Int): Seq[StreamingDetect.Point] =
+    s.values.take(count).toSeq.zipWithIndex.map { case (v, t) =>
+      StreamingDetect.Point(s.id, s.cond, t.toLong, v, s.values.length)
+    }
+
+  test("incomplete series emit nothing (state held, no spurious output)") {
+    val series = Datasets.singlePeriodSin(1, 0.1, 0.01, seed = 56, n = 400).head
+    assert(emitted("stream_partial", points(series, 200)) == 0)
+  }
+
+  test("points outside [0, n) neither complete a series nor fill a slot") {
+    val series = Datasets.singlePeriodSin(1, 0.1, 0.01, seed = 57, n = 400).head
+    // t = 0..398 valid, t = 399 missing, one stray point at t = n.
+    val stray = StreamingDetect.Point(series.id, series.cond, 400L, 1.0, 400)
+    assert(emitted("stream_out_of_range", points(series, 399) :+ stray) == 0)
   }
 }
