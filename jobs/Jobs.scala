@@ -5,8 +5,10 @@ import repro.eval.Tables
 
 /** spark-submit entrypoint for the evaluation tables. Optional second arg:
   * series count per condition (default 100; 40 for table 6, 50 for 7and8).
+  * `periods` prints every detector's period list on every table's default
+  * corpus, one sorted `table  cond  id  algo  periods` line each.
   *
-  *   spark-submit --class repro.jobs.TableJob repro.jar <1|2|3|4|5|6|7and8> [count]
+  *   spark-submit --class repro.jobs.TableJob repro.jar <1|2|3|4|5|6|7and8|periods> [count]
   */
 object TableJob {
   private val MetricCols = "(cond | algo | tol | precision | recall | f1 | top1 | n)"
@@ -34,11 +36,12 @@ object TableJob {
       println(Tables.render(rt, "Table 7: runtime (cond | algo | avg_ms | n)"))
       println(Tables.render(f1, s"Table 8: F1 vs length $MetricCols"))
     }),
+    "periods" -> ((spark, _) => Tables.periods(spark).foreach(println)),
   )
 
   def main(args: Array[String]): Unit = {
     val run = args.headOption.flatMap(tables.get)
-      .getOrElse(sys.error("usage: TableJob <1|2|3|4|5|6|7and8> [count]"))
+      .getOrElse(sys.error("usage: TableJob <1|2|3|4|5|6|7and8|periods> [count]"))
     val spark = SparkSession.builder.appName(s"robustperiod-table${args(0)}").getOrCreate()
     run(spark, default => args.lift(1).map(_.toInt).getOrElse(default))
     spark.stop()

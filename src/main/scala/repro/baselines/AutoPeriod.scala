@@ -13,7 +13,7 @@ class AutoPeriod(nPermutations: Int = 100, percentile: Double = 0.99, seed: Long
 
   protected def detectDetrended(x: Array[Double]): Seq[Int] = {
     val n     = x.length
-    val pHalf = HuberPeriodogram.vanilla(x).take(n / 2 + 1)
+    val pHalf = HuberPeriodogram.vanilla(x)
     val acf   = ACF.biased(x)
     // Permutation power threshold: shuffling destroys periodic structure
     // while preserving the marginal distribution; the chosen percentile of

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{HPFilter, RobustPeriod}
+import repro.core.{HPFilter, RobustPeriod, RobustStats}
 
 /** Common interface for every periodicity detector under evaluation.
   *
@@ -24,7 +24,7 @@ abstract class Detrended(val name: String, lambda: Double = -1) extends Detector
     if (x.forall(_ == x(0))) Seq.empty
     else {
       val d = HPFilter.detrend(x, lambda)
-      val m = d.sum / d.length
+      val m = RobustStats.mean(d)
       detectDetrended(d.map(_ - m))
     }
   protected def detectDetrended(x: Array[Double]): Seq[Int]

@@ -16,9 +16,7 @@ class SiegelDetector(alpha: Double = 0.05, lambda: Double = 0.6, maxPeriods: Int
     extends Detrended("Siegel") {
 
   protected def detectDetrended(x: Array[Double]): Seq[Int] = {
-    val n = x.length
-    val p = HuberPeriodogram.vanilla(x)
-    detectFromPeriodogram(p.take(n / 2 + 1), n)
+    detectFromPeriodogram(HuberPeriodogram.vanilla(x), x.length)
   }
 
   /** Shared with the Huber-Siegel ablation: run on any half-range

@@ -27,14 +27,19 @@ object FFT {
     a
   }
 
-  /** Inverse DFT of an interleaved complex spectrum; returns the real part
-    * (caller guarantees the spectrum is conjugate-symmetric up to noise).
+  /** Inverse DFT of a real, even spectrum given by its half range
+    * P_0..P_m: x_t = (1/n) Σ_k P_k e^{+i 2π k t / n} with n = 2m and
+    * P_{n−k} = P_k, so x is real. One JTransforms `realInverse` on the
+    * packed layout [P_0, P_m, P_1, 0, P_2, 0, ..., P_{m−1}, 0].
     */
-  def inverseReal(spec: Array[Double]): Array[Double] = {
-    val a = spec.clone()
-    val n = a.length / 2
-    new DoubleFFT_1D(n).complexInverse(a, true)
-    Array.tabulate(n)(i => a(2 * i))
+  def inverseRealEven(half: Array[Double]): Array[Double] = {
+    val m = half.length - 1
+    val a = new Array[Double](2 * m)
+    var k = 0
+    while (k < m) { a(2 * k) = half(k); k += 1 }
+    a(1) = half(m)
+    new DoubleFFT_1D(2 * m).realInverse(a, true)
+    a
   }
 
   /** Naive O(n²) DFT — test oracle only. */

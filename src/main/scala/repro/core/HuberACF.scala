@@ -4,34 +4,22 @@ package repro.core
   * (Sec. 3.4.2), plus the Huber-ACF-Med validation step.
   *
   * The level series w (length N) is zero-padded to N' = 2N before the
-  * periodogram, so the inverse DFT of the full-range periodogram is the
-  * *linear* (not circular) autocorrelation of w; dividing by (N − t)
-  * makes it unbiased. We scale so ACF(0) = 1 (see DESIGN.md §5 — Eq. 13 as
+  * periodogram, so the periodogram's inverse DFT is the *linear* (not
+  * circular) autocorrelation of w; dividing by (N − t) makes it
+  * unbiased. We scale so ACF(0) = 1 (see DESIGN.md §5 — Eq. 13 as
   * printed gives ACF(0) = 1/N, inconsistent with the paper's own plots).
   */
 object HuberACF {
 
-  /** Mirror a half-range periodogram (indices 0..N of an N'=2N spectrum)
-    * to the full range; index N is the Nyquist ordinate.
-    */
-  def fullRange(pHalf: Array[Double]): Array[Double] = {
-    val half = pHalf.length - 1 // = N
-    val n    = 2 * half         // = N'
-    Array.tabulate(n)(k => if (k <= half) pHalf(k) else pHalf(n - k))
-  }
-
-  /** ACF(t), t = 0..N−1, from the half-range periodogram of the padded
-    * series. ACF(0) = 1 by construction.
+  /** ACF(t), t = 0..N−1, from the half-range periodogram (indices 0..N)
+    * of the padded series; the periodogram is real and even, so one
+    * real-even inverse DFT gives the autocovariance. ACF(0) = 1 by
+    * construction.
     */
   def fromPeriodogram(pHalf: Array[Double]): Array[Double] = {
-    val full = fullRange(pHalf)
-    val n    = full.length // N'
-    val half = n / 2       // N
-    val spec = new Array[Double](2 * n)
-    var k = 0
-    while (k < n) { spec(2 * k) = full(k); k += 1 }
-    val p = FFT.inverseReal(spec)
-    val p0 = p(0)
+    val half = pHalf.length - 1 // N
+    val p    = FFT.inverseRealEven(pHalf)
+    val p0   = p(0)
     if (p0 <= 0) return Array.fill(half)(0.0)
     Array.tabulate(half)(t => (half.toDouble / (half - t)) * p(t) / p0)
   }
@@ -83,8 +71,7 @@ object ACF {
     val n = x.length
     val padded = new Array[Double](2 * n)
     System.arraycopy(x, 0, padded, 0, n)
-    val pHalf = HuberPeriodogram.vanilla(padded).take(n + 1)
-    HuberACF.fromPeriodogram(pHalf)
+    HuberACF.fromPeriodogram(HuberPeriodogram.vanilla(padded))
   }
 
   /** Biased normalized ACF (divides by N at every lag) — what R's `acf`

@@ -11,11 +11,13 @@ package repro.core
   */
 object HuberPeriodogram {
 
-  /** Vanilla periodogram P_k = |X_k|²/n, full range k = 0..n−1. */
+  /** Vanilla periodogram P_k = |X_k|²/n on the half range k = 0..⌊n/2⌋
+    * (a real series' periodogram is even, P_{n−k} = P_k).
+    */
   def vanilla(x: Array[Double]): Array[Double] = {
     val n    = x.length
     val spec = FFT.forward(x)
-    Array.tabulate(n) { k =>
+    Array.tabulate(n / 2 + 1) { k =>
       val re = spec(2 * k); val im = spec(2 * k + 1)
       (re * re + im * im) / n
     }
@@ -92,7 +94,7 @@ object HuberPeriodogram {
               maxIter: Int = 50): Array[Double] = {
     val n    = x.length
     val half = n / 2
-    val out  = vanilla(x).take(half + 1)
+    val out  = vanilla(x)
     val lo   = math.max(1, exactBand._1)
     val hi   = math.min(half, exactBand._2)
     var k = lo

@@ -82,29 +82,24 @@ object RobustPeriod {
           if (cfg.useHuberPeriodogram)
             HuberPeriodogram.spliced(x, band, cfg.huberZeta, cfg.admmIter)
           else
-            HuberPeriodogram.vanilla(x).take(n + 1)
-        // Significance from EVEN ordinates only: X_padded(2k) equals the
-        // unpadded DFT, so those ordinates are i.i.d. under the white-noise
-        // null (odd, interpolated ordinates are correlated with their
-        // neighbours). Level-j coefficients are band-passed, so the test is
-        // restricted to the in-band ordinates whenever enough exist —
-        // including the (near-zero) out-of-band ordinates would inflate the
-        // g-statistic far above the null. Deep levels have too few in-band
-        // ordinates for any power (e.g. 4 at T≈1440, N=7200), so there the
-        // full even range is used and the strengthened ACF validation
-        // (≥3 persistent peaks) carries the false-positive control — this
-        // matches the paper's observed behaviour (Fig. 5 shows out-of-band
-        // candidates and p-values needing ACF veto). The period candidate
-        // always uses the full-resolution, full-range argmax.
+            HuberPeriodogram.vanilla(x)
+        // Fisher significance from EVEN ordinates only: X_padded(2k) equals
+        // the unpadded DFT, so those ordinates are i.i.d. under the
+        // white-noise null (odd, interpolated ordinates are correlated with
+        // their neighbours). Level-j coefficients are band-passed, so the
+        // test window is the level's in-band ordinates — including the
+        // (near-zero) out-of-band ones would inflate the g-statistic far
+        // above the null. Deep levels hold too few in-band ordinates for any
+        // test power (4 at T≈1440, N=7200), so there the window is widened
+        // to ≥16 ordinates into the adjacent stopband, attenuated for signal
+        // and noise alike, so the null is only mildly distorted; the ACF
+        // validation (≥3 persistent peaks) carries the remaining
+        // false-positive control. The period candidate is the argmax over
+        // the whole full-resolution half range, so it may lie out of band
+        // (as in the paper's Fig. 5).
         val even   = Array.tabulate(n / 2 + 1)(i => pHalf(2 * i))
         val bandLo = math.max(1, (band._1 + 1) / 2)
         val bandHi = math.min(n / 2, band._2 / 2)
-        // Deep levels hold too few in-band ordinates for any test power
-        // (4 at T≈1440, N=7200), so the window is widened to ≥16 ordinates
-        // into the adjacent stopband — attenuated for signal *and* noise,
-        // so the null is only mildly distorted, unlike a full-range test
-        // whose N vastly overstates the effective ordinate count of a
-        // band-passed level.
         val minOrd = 16
         var lo = bandLo
         var hi = bandHi

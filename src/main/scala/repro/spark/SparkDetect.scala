@@ -27,7 +27,7 @@ object SparkDetect {
   def toDataset(spark: SparkSession, series: Seq[Series]): Dataset[SeriesRow] = {
     import spark.implicits._
     spark.createDataset(series.map(s => SeriesRow(s.id, s.cond, s.values, s.truth)))
-      .repartition(math.min(series.size, spark.sparkContext.defaultParallelism))
+      .repartition(math.max(1, math.min(series.size, spark.sparkContext.defaultParallelism)))
   }
 
   /** Run every detector on every series; wall-clock per detection recorded

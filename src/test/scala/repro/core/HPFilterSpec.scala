@@ -52,6 +52,29 @@ class HPFilterSpec extends AnyFunSuite {
     assert(diff < 0.5, s"λ sensitivity $diff")
   }
 
+  /** Dense Gaussian elimination oracle. */
+  private def denseSolve(a: Array[Array[Double]], b: Array[Double]): Array[Double] = {
+    val n = b.length
+    val m = a.map(_.clone()); val x = b.clone()
+    for (c <- 0 until n) {
+      val piv = (c until n).maxBy(r => math.abs(m(r)(c)))
+      val t = m(c); m(c) = m(piv); m(piv) = t
+      val tb = x(c); x(c) = x(piv); x(piv) = tb
+      for (r <- c + 1 until n) {
+        val f = m(r)(c) / m(c)(c)
+        for (cc <- c until n) m(r)(cc) -= f * m(c)(cc)
+        x(r) -= f * x(c)
+      }
+    }
+    val out = new Array[Double](n)
+    for (i <- n - 1 to 0 by -1) {
+      var s = x(i)
+      for (j <- i + 1 until n) s -= m(i)(j) * out(j)
+      out(i) = s / m(i)(i)
+    }
+    out
+  }
+
   test("matches dense normal-equation solve on a small system") {
     val rnd = new Random(4)
     val n = 40
@@ -64,26 +87,65 @@ class HPFilterSpec extends AnyFunSuite {
       val cols = Seq((r, 1.0), (r + 1, -2.0), (r + 2, 1.0))
       for ((ci, cv) <- cols; (cj, cw) <- cols) a(ci)(cj) += 2 * lambda * cv * cw
     }
-    // Gaussian elimination oracle.
-    val m = a.map(_.clone()); val x = y.clone()
-    for (c <- 0 until n) {
-      val piv = (c until n).maxBy(r => math.abs(m(r)(c)))
-      val t = m(c); m(c) = m(piv); m(piv) = t
-      val tb = x(c); x(c) = x(piv); x(piv) = tb
-      for (r <- c + 1 until n) {
-        val f = m(r)(c) / m(c)(c)
-        for (cc <- c until n) m(r)(cc) -= f * m(c)(cc)
-        x(r) -= f * x(c)
-      }
-    }
-    val exp = new Array[Double](n)
-    for (i <- n - 1 to 0 by -1) {
-      var s = x(i)
-      for (j <- i + 1 until n) s -= m(i)(j) * exp(j)
-      exp(i) = s / m(i)(i)
-    }
+    val exp = denseSolve(a, y)
     val got = HPFilter.trend(y, lambda)
     got.indices.foreach(i => assert(math.abs(got(i) - exp(i)) < 1e-9))
+  }
+
+  for (n <- Seq(4, 10, 50, 200)) {
+    test(s"pentadiagonal solve matches dense solve (n=$n)") {
+      // Random diagonally dominant (hence SPD) symmetric pentadiagonal A.
+      val rnd = new Random(n * 31 + 2)
+      val a0 = Array.fill(n)(n + 2.0 + rnd.nextDouble())
+      val a1 = Array.tabulate(n)(i => if (i + 1 < n) rnd.nextDouble() - 0.5 else 0.0)
+      val a2 = Array.tabulate(n)(i => if (i + 2 < n) rnd.nextDouble() - 0.5 else 0.0)
+      val dense = Array.ofDim[Double](n, n)
+      for (i <- 0 until n) {
+        dense(i)(i) = a0(i)
+        if (i + 1 < n) { dense(i)(i + 1) = a1(i); dense(i + 1)(i) = a1(i) }
+        if (i + 2 < n) { dense(i)(i + 2) = a2(i); dense(i + 2)(i) = a2(i) }
+      }
+      val b = Array.fill(n)(rnd.nextDouble() * 4 - 2)
+      val got = HPFilter.solvePentadiagonal(a0, a1, a2, b)
+      val exp = denseSolve(dense, b)
+      got.indices.foreach(i => assert(math.abs(got(i) - exp(i)) < 1e-8,
+        s"mismatch at $i: ${got(i)} vs ${exp(i)}"))
+    }
+  }
+
+  test("pentadiagonal identity solve returns rhs") {
+    val b = Array(1.0, 2.0, 3.0, 4.0, 5.0)
+    val zeros = Array.fill(5)(0.0)
+    assert(HPFilter.solvePentadiagonal(Array.fill(5)(1.0), zeros, zeros, b).toSeq == b.toSeq)
+  }
+
+  test("non-SPD pentadiagonal matrix rejected by the pivot check") {
+    // A = [[1, 2], [2, −5]]: the second pivot is −5 − 2² < 0.
+    intercept[IllegalArgumentException] {
+      HPFilter.solvePentadiagonal(Array(1.0, -5.0), Array(2.0, 0.0), Array(0.0, 0.0), Array(1.0, 1.0))
+    }
+  }
+
+  test("residual ‖Aτ − y‖ is tiny for the HP system (n=7200, auto λ)") {
+    val n = 7200
+    val rnd = new Random(9)
+    var walk = 0.0
+    val y = Array.tabulate(n) { t =>
+      walk += 0.1 * rnd.nextGaussian()
+      walk + math.sin(2 * math.Pi * t / 1440.0) + rnd.nextGaussian()
+    }
+    val tau = HPFilter.trend(y)
+    val w = 2.0 * HPFilter.autoLambda(n)
+    // A τ = τ + 2λ·Dᵀ(Dτ), applied through the difference stencil.
+    val d = Array.tabulate(n - 2)(r => tau(r) - 2 * tau(r + 1) + tau(r + 2))
+    val aTau = tau.clone()
+    for (r <- 0 until n - 2) {
+      aTau(r) += w * d(r); aTau(r + 1) -= 2 * w * d(r); aTau(r + 2) += w * d(r)
+    }
+    // Relative to the size of the terms that cancel in A τ.
+    val scale = 16 * w * tau.map(math.abs).max + y.map(math.abs).max
+    val worst = (0 until n).map(i => math.abs(aTau(i) - y(i))).max
+    assert(worst / scale < 1e-14, s"relative residual ${worst / scale}")
   }
 
   test("auto λ keeps long periodic components out of the trend") {

@@ -9,6 +9,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
     val n = 400
     val x = Array.tabulate(n)(t => math.sin(2 * math.Pi * 8 * t / n))
     val p = HuberPeriodogram.vanilla(x)
+    assert(p.length == n / 2 + 1)
     val kb = (1 to n / 2).maxBy(p(_))
     assert(kb == 8)
     assert(math.abs(p(8) - n / 4.0) < 1e-6) // |X|²/n = (n/2)²/n

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.synth.TimeSeriesGen._
 
@@ -119,6 +122,28 @@ class RobustPeriodSpec extends AnyFunSuite {
     val cfg = RobustPeriod.Config(useHuberPeriodogram = false, useRobustVariance = false)
     val res = RobustPeriod.detect(y, cfg).periods
     assert(within2pc(res, 50), s"NR pipeline got $res")
+  }
+
+  test("period list is unchanged under a·y + b (scalacheck, 30 cases)") {
+    // Sin/square mixtures with trend, noise and outliers; a log-uniform in
+    // [1e-3, 1e3], b uniform in [−1e3, 1e3].
+    val series = for {
+      n      <- Gen.choose(200, 800)
+      form   <- Gen.oneOf(Sin, Square)
+      k      <- Gen.choose(1, 3)
+      ps     <- Gen.listOfN(k, Gen.choose(8, n / 4))
+      sigma2 <- Gen.choose(0.0, 1.0)
+      eta    <- Gen.choose(0.0, 0.05)
+      seed   <- Gen.long
+    } yield synthetic(n, ps.distinct, form, sigma2, eta, seed)
+    val scale = Gen.choose(-3.0, 3.0).map(math.pow(10, _))
+    val shift = Gen.choose(-1e3, 1e3)
+    val prop = Prop.forAllNoShrink(series, scale, shift) { (y, a, b) =>
+      RobustPeriod.detect(y.map(v => a * v + b)).periods == RobustPeriod.detect(y).periods
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(Seed(2021L))
+    val res = Test.check(params, prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 
   test("detection is deterministic") {

@@ -29,6 +29,11 @@ class SparkDetectSpec extends SparkSpec {
     }
   }
 
+  test("empty corpus gives no detection rows") {
+    val empty = SparkDetect.toDataset(spark, Seq.empty)
+    assert(SparkDetect.detect(empty, detectors).collect().isEmpty)
+  }
+
   test("detection rows carry positive wall-clock timings") {
     assert(det.collect().forall(_.millis > 0))
   }
