@@ -24,7 +24,7 @@ object HuberPeriodogram {
   }
 
   /** Huber M-periodogram at a single frequency index k of an n-point
-    * series: P^M_k = (n/4)·‖β̂‖² with
+    * series, n even: P^M_k = (n/4)·‖β̂‖² with
     * β̂ = argmin Σ_t γ_ζ(φ_t β − x_t), φ_t = [cos(2πkt/n), sin(2πkt/n)].
     *
     * Iteratively reweighted least squares (Holland & Welsch 1977): start
@@ -32,23 +32,31 @@ object HuberPeriodogram {
     * solve with weights w_t = min(1, ζ/|r_t|) until ‖Δβ‖ < 1e-8 or
     * `maxIter` solves have run. The paper uses ADMM for the same convex
     * problem (DESIGN.md §5).
+    *
+    * The fit is folded onto t < n/2: φ_{t+n/2} = (−1)^k·φ_t exactly, so
+    * sample t + n/2 is a second observation (−1)^k·x_{t+n/2} of the same
+    * regressor φ_t. Each IRLS step then sums (w_a + w_b)·φ_tφ_tᵀ and
+    * φ_t·(w_a·x_t + w_b·(−1)^k·x_{t+n/2}) over half the samples. Hence the
+    * even-length requirement; every caller passes the zero-padded N' = 2N.
     */
   def huberAtK(x: Array[Double], k: Int, zeta: Double, maxIter: Int = 50): Double = {
     val n = x.length
+    require(n % 2 == 0, s"huberAtK needs an even-length series (n = $n)")
     if (k == 0 || 2 * k == n) { // sine regressor ≡ 0: plain DFT ordinate
       var s = 0.0; var t = 0
       while (t < n) { s += (if (k == 0 || t % 2 == 0) x(t) else -x(t)); t += 1 }
       return s * s / n
     }
-    val cos = new Array[Double](n)
-    val sin = new Array[Double](n)
-    // Incremental rotation instead of n trig calls; renormalized per step
-    // is unnecessary at n ≲ 10^4.
+    val m    = n / 2
+    val sign = if (k % 2 == 0) 1.0 else -1.0
+    val cos  = new Array[Double](m)
+    val sin  = new Array[Double](m)
+    // Incremental rotation instead of m trig calls.
     val wRe = math.cos(2 * math.Pi * k / n)
     val wIm = math.sin(2 * math.Pi * k / n)
     var cRe = 1.0; var cIm = 0.0
     var t = 0
-    while (t < n) {
+    while (t < m) {
       cos(t) = cRe; sin(t) = cIm
       val nRe = cRe * wRe - cIm * wIm
       cIm = cRe * wIm + cIm * wRe
@@ -58,7 +66,11 @@ object HuberPeriodogram {
     // Least-squares start: for 0 < k < n/2, φᵀφ = (n/2)·I exactly.
     var b1 = 0.0; var b2 = 0.0
     t = 0
-    while (t < n) { b1 += cos(t) * x(t); b2 += sin(t) * x(t); t += 1 }
+    while (t < m) {
+      val xs = x(t) + sign * x(t + m)
+      b1 += cos(t) * xs; b2 += sin(t) * xs
+      t += 1
+    }
     b1 *= 2.0 / n; b2 *= 2.0 / n
 
     var it = 0
@@ -67,12 +79,17 @@ object HuberPeriodogram {
       // Weighted normal equations (φᵀWφ) β = φᵀWx at the current residuals.
       var scc = 0.0; var scs = 0.0; var sss = 0.0; var rx1 = 0.0; var rx2 = 0.0
       t = 0
-      while (t < n) {
-        val r  = math.abs(cos(t) * b1 + sin(t) * b2 - x(t))
-        val w  = if (r <= zeta) 1.0 else zeta / r
+      while (t < m) {
+        val xa = x(t); val xb = sign * x(t + m)
+        val f  = cos(t) * b1 + sin(t) * b2
+        val ra = math.abs(f - xa); val rb = math.abs(f - xb)
+        val wa = if (ra <= zeta) 1.0 else zeta / ra
+        val wb = if (rb <= zeta) 1.0 else zeta / rb
+        val w  = wa + wb
         val wc = w * cos(t); val ws = w * sin(t)
         scc += wc * cos(t); scs += wc * sin(t); sss += ws * sin(t)
-        rx1 += wc * x(t); rx2 += ws * x(t)
+        val wx = wa * xa + wb * xb
+        rx1 += cos(t) * wx; rx2 += sin(t) * wx
         t += 1
       }
       val det = scc * sss - scs * scs
@@ -85,23 +102,33 @@ object HuberPeriodogram {
     n / 4.0 * (b1 * b1 + b2 * b2)
   }
 
-  /** Half-range periodogram (indices 0..n/2) with the exact Huber
-    * M-estimate on `exactBand` (inclusive index range) and the vanilla
-    * periodogram elsewhere. `maxIter` caps the iterations of each Huber
-    * fit.
+  /** Overwrites `p(k)` with the Huber M-estimate `huberAtK(x, k, …)` for
+    * every k of `exactBand` (inclusive, clamped to 1..n/2) with
+    * k ≡ `parity` (mod 2). Per-k fits are independent, so fitting the even
+    * ordinates and the odd ones in two calls gives the same values as one
+    * pass; `RobustPeriod.detect` fits the odd ones only when they are read.
+    */
+  private[core] def fitBand(x: Array[Double], p: Array[Double], exactBand: (Int, Int),
+                            parity: Int, zeta: Double, maxIter: Int): Unit = {
+    val lo = math.max(1, exactBand._1)
+    val hi = math.min(x.length / 2, exactBand._2)
+    var k  = if (lo % 2 == parity) lo else lo + 1
+    while (k <= hi) {
+      p(k) = huberAtK(x, k, zeta, maxIter = maxIter)
+      k += 2
+    }
+  }
+
+  /** Half-range periodogram (indices 0..n/2) of an even-length series with
+    * the exact Huber M-estimate on `exactBand` (inclusive index range) and
+    * the vanilla periodogram elsewhere. `maxIter` caps the iterations of
+    * each Huber fit.
     */
   def spliced(x: Array[Double], exactBand: (Int, Int), zeta: Double,
               maxIter: Int = 50): Array[Double] = {
-    val n    = x.length
-    val half = n / 2
-    val out  = vanilla(x)
-    val lo   = math.max(1, exactBand._1)
-    val hi   = math.min(half, exactBand._2)
-    var k = lo
-    while (k <= hi) {
-      out(k) = huberAtK(x, k, zeta, maxIter = maxIter)
-      k += 1
-    }
+    val out = vanilla(x)
+    fitBand(x, out, exactBand, parity = 0, zeta, maxIter)
+    fitBand(x, out, exactBand, parity = 1, zeta, maxIter)
     out
   }
 

@@ -78,11 +78,12 @@ object RobustPeriod {
         System.arraycopy(w, 0, x, 0, n)
         val nP = 2 * n
         val band = (nP / (1 << (lvl + 1)), nP / (1 << lvl))
-        val pHalf =
-          if (cfg.useHuberPeriodogram)
-            HuberPeriodogram.spliced(x, band, cfg.huberZeta, cfg.admmIter)
-          else
-            HuberPeriodogram.vanilla(x)
+        // The Huber periodogram spliced into the vanilla one on the octave
+        // band, fitted in two halves: the even ordinates now, the odd ones
+        // only if Fisher's test (which reads the even ones) accepts the level.
+        val pHalf = HuberPeriodogram.vanilla(x)
+        if (cfg.useHuberPeriodogram)
+          HuberPeriodogram.fitBand(x, pHalf, band, parity = 0, cfg.huberZeta, cfg.admmIter)
         // Fisher significance from EVEN ordinates only: X_padded(2k) equals
         // the unpadded DFT, so those ordinates are i.i.d. under the
         // white-noise null (odd, interpolated ordinates are correlated with
@@ -108,16 +109,18 @@ object RobustPeriod {
           if (hi - lo + 1 < minOrd) hi = math.min(n / 2, lo + minOrd - 1)
         }
         val fisher = FisherTest.test(even, kFrom = lo, kTo = hi)
-        var kMax = 1
-        var best = -1.0
-        var kk   = 1
-        while (kk < pHalf.length) {
-          if (pHalf(kk) > best) { best = pHalf(kk); kMax = kk }
-          kk += 1
-        }
         if (fisher.pValue >= cfg.fisherAlpha) {
           levelResults += LevelResult(lvl, v, fisher.pValue, 0.0, 0)
         } else {
+          if (cfg.useHuberPeriodogram)
+            HuberPeriodogram.fitBand(x, pHalf, band, parity = 1, cfg.huberZeta, cfg.admmIter)
+          var kMax = 1
+          var best = -1.0
+          var kk   = 1
+          while (kk < pHalf.length) {
+            if (pHalf(kk) > best) { best = pHalf(kk); kMax = kk }
+            kk += 1
+          }
           val candPeriod = nP.toDouble / kMax
           val acf = HuberACF.fromPeriodogram(pHalf)
           val fin = HuberACF.validate(acf, kMax, nP, cfg.acfMinHeight)

@@ -129,4 +129,86 @@ class HuberPeriodogramSpec extends AnyFunSuite {
         s"n=$m, k=$k: Huber $pHuber vs grid $pOracle")
     }
   }
+
+  /** The IRLS fit over all n samples, as `huberAtK` ran it before the fold:
+    * the oracle for the folded kernel.
+    */
+  private def fullLengthHuber(x: Array[Double], k: Int, zeta: Double, maxIter: Int): Double = {
+    val n = x.length
+    val cos = new Array[Double](n)
+    val sin = new Array[Double](n)
+    val wRe = math.cos(2 * math.Pi * k / n)
+    val wIm = math.sin(2 * math.Pi * k / n)
+    var cRe = 1.0; var cIm = 0.0
+    var t = 0
+    while (t < n) {
+      cos(t) = cRe; sin(t) = cIm
+      val nRe = cRe * wRe - cIm * wIm
+      cIm = cRe * wIm + cIm * wRe
+      cRe = nRe
+      t += 1
+    }
+    var b1 = 0.0; var b2 = 0.0
+    t = 0
+    while (t < n) { b1 += cos(t) * x(t); b2 += sin(t) * x(t); t += 1 }
+    b1 *= 2.0 / n; b2 *= 2.0 / n
+    var it = 0
+    var moved = Double.MaxValue
+    while (it < maxIter && moved >= 1e-8) {
+      var scc = 0.0; var scs = 0.0; var sss = 0.0; var rx1 = 0.0; var rx2 = 0.0
+      t = 0
+      while (t < n) {
+        val r  = math.abs(cos(t) * b1 + sin(t) * b2 - x(t))
+        val w  = if (r <= zeta) 1.0 else zeta / r
+        val wc = w * cos(t); val ws = w * sin(t)
+        scc += wc * cos(t); scs += wc * sin(t); sss += ws * sin(t)
+        rx1 += wc * x(t); rx2 += ws * x(t)
+        t += 1
+      }
+      val det = scc * sss - scs * scs
+      val nb1 = (sss * rx1 - scs * rx2) / det
+      val nb2 = (scc * rx2 - scs * rx1) / det
+      moved = math.hypot(nb1 - b1, nb2 - b2)
+      b1 = nb1; b2 = nb2
+      it += 1
+    }
+    n / 4.0 * (b1 * b1 + b2 * b2)
+  }
+
+  test("folded Huber fit matches the full-length IRLS") {
+    val rnd = new Random(10)
+    val n = 300
+    val y = Array.tabulate(n)(t => math.sin(2 * math.Pi * 12 * t / n) + 0.5 * rnd.nextGaussian())
+    (0 until 12).foreach(_ => y(rnd.nextInt(n)) += 15.0 * (if (rnd.nextBoolean()) 1 else -1))
+    val padded = y ++ Array.fill(n)(0.0) // the N' = 2N shape RobustPeriod passes
+    for (x <- Seq(padded, y); k <- Seq(1, 2, 11, 12, 24, 25, 73, 148, 149)) {
+      val folded = HuberPeriodogram.huberAtK(x, k, 1.345)
+      val full   = fullLengthHuber(x, k, 1.345, maxIter = 50)
+      assert(math.abs(folded - full) <= 1e-9 * full, s"n=${x.length}, k=$k: $folded vs $full")
+    }
+  }
+
+  test("odd-length input is rejected with the even-length requirement") {
+    val e = intercept[IllegalArgumentException](HuberPeriodogram.huberAtK(Array.fill(33)(1.0), 5, 1.345))
+    assert(e.getMessage.contains("even-length"), e.getMessage)
+  }
+
+  test("even then odd band ordinates through fitBand equal spliced bit for bit") {
+    val rnd = new Random(11)
+    val n = 250
+    val y = Array.tabulate(n)(t => math.cos(2 * math.Pi * 9 * t / n) + 0.3 * rnd.nextGaussian())
+    y(17) += 12.0; y(140) -= 9.0
+    val x = y ++ Array.fill(n)(0.0)
+    val band = (31, 62) // level 3 of N' = 500: an odd lower edge
+    val sp = HuberPeriodogram.spliced(x, band, 1.345)
+    val vn = HuberPeriodogram.vanilla(x)
+    val p  = HuberPeriodogram.vanilla(x)
+    HuberPeriodogram.fitBand(x, p, band, parity = 0, 1.345, 50)
+    // After the even pass the even ordinates (all Fisher reads) are final
+    // and the odd ones are still vanilla.
+    (0 to n).foreach(k => assert(p(k) == (if (k % 2 == 0) sp(k) else vn(k)), s"k=$k"))
+    HuberPeriodogram.fitBand(x, p, band, parity = 1, 1.345, 50)
+    assert(p.sameElements(sp))
+    assert((31 to 62).forall(k => sp(k) != vn(k)))
+  }
 }

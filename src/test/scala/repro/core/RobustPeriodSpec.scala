@@ -33,6 +33,17 @@ class RobustPeriodSpec extends AnyFunSuite {
     }
   }
 
+  test("a Fisher-rejected level records only its p-value (three sines)") {
+    val y   = synthetic(1000, Seq(20, 50, 100), Sin, 0.1, 0.01, seed = 200)
+    val cfg = RobustPeriod.Config()
+    val res = RobustPeriod.detect(y, cfg)
+    val total = res.levels.map(_.variance).sum
+    val rejected = res.levels.filter(l =>
+      l.variance >= cfg.minVarianceFraction * total && l.fisherP >= cfg.fisherAlpha)
+    assert(rejected.nonEmpty, s"no processed level was rejected: ${res.levels}")
+    rejected.foreach(l => assert(l.periodogramPeriod == 0.0 && l.acfPeriod == 0, l.toString))
+  }
+
   for (seed <- 0 until 3) {
     test(s"square wave multi-period detection (seed $seed)") {
       val y = synthetic(1000, Seq(20, 50, 100), Square, 0.1, 0.01, seed = 300 + seed)
